@@ -241,8 +241,8 @@ func e12(seed int64, commands int) {
 			r.Mode, r.Commands, r.Instances, r.Msgs, r.SimSteps,
 			r.CmdsPerStep, r.MsgsPerCmd, r.MaxMergeBuffer)
 	}
-	fmt.Printf("  durable (shards=%d, WAL-backed): %.3f fsyncs/cmd/acc, per-shard stream appends %v\n",
-		dur.Shards, dur.FsyncsPerCmdPerAcc, dur.StreamAppends)
+	fmt.Printf("  durable (shards=%d, WAL-backed): %.3f fsyncs/cmd/acc\n",
+		dur.Shards, dur.FsyncsPerCmdPerAcc)
 	fmt.Println("  (leaders share nothing on the instance axis: fixed per-leader window,")
 	fmt.Println("   aggregate pipeline grows N×; learners merge by instance number)")
 }

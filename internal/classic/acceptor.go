@@ -35,10 +35,8 @@ type coordTally struct {
 // Sharded deployments (cfg.Shards > 1) run one leader per instance residue
 // class, so the acceptor keeps one current round per shard: leader k's phase
 // 1 claims only instances ≡ k (mod shards) and cannot stale-out the other
-// shards' leaders. Accepts are persisted through the shard's commit stream
-// when the backend has one (storage.ShardedStable) — all streams feed the
-// one replayable log, so a restart rebuilds every shard from a single
-// replay.
+// shards' leaders. Every shard's accepts land in the one replayable log, so
+// a restart rebuilds every shard from a single replay.
 //
 // Multicoordinated deployments (cfg.CoordsPerShard ≥ 2) serve each shard's
 // round with a coordinator group: the acceptor tallies 2a messages per
@@ -289,7 +287,7 @@ func (a *Acceptor) onP2a(from msg.NodeID, mm msg.P2a) {
 		return
 	}
 	a.setRnd(shard, mm.Rnd)
-	a.accept(shard, mm.Inst, mm.Rnd, cmd)
+	a.accept(mm.Inst, mm.Rnd, cmd)
 }
 
 // onP2aMulti is the multicoordinated Phase2b (Section 4.1 per shard): tally
@@ -331,17 +329,17 @@ func (a *Acceptor) onP2aMulti(shard int, mm msg.P2a, cmd cstruct.Cmd) {
 	t.vals[mm.Coord] = cmd
 	a.setRnd(shard, mm.Rnd)
 	if len(t.vals) < a.cfg.CoordQuorumSize(shard) {
-		// Partial tally: persist the in-flight coordinator votes through the
-		// shard's commit stream so a restart replays them with the votes.
-		a.persistTally(shard, mm.Inst, t, cmd)
+		// Partial tally: persist the in-flight coordinator votes so a
+		// restart replays them with the votes.
+		a.persistTally(mm.Inst, t, cmd)
 		return
 	}
-	a.accept(shard, mm.Inst, mm.Rnd, cmd)
+	a.accept(mm.Inst, mm.Rnd, cmd)
 }
 
-// accept persists the vote (one group-commit write on the shard's stream)
-// and announces it to every learner.
-func (a *Acceptor) accept(shard int, inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
+// accept persists the vote (one group-commit write) and announces it to
+// every learner.
+func (a *Acceptor) accept(inst uint64, r ballot.Ballot, cmd cstruct.Cmd) {
 	v := vote{vrnd: r, vval: cmd}
 	a.votes[inst] = v
 	// The completed tally's job is done; the persisted vote shadows its
@@ -350,10 +348,8 @@ func (a *Acceptor) accept(shard int, inst uint64, r ballot.Ballot, cmd cstruct.C
 	delete(a.tallies, inst)
 	// The accept must hit stable storage before the 2b leaves (one
 	// synchronous write per accepted value, Section 4.4). The high-water
-	// mark rides along in the same write for recovery scans. In sharded
-	// deployments the write goes through the shard's commit stream — still
-	// one logical write on the one shared log.
-	storage.PutAllSharded(a.disk, shard, map[string]any{
+	// mark rides along in the same write for recovery scans.
+	a.disk.PutAll(map[string]any{
 		voteKey(inst):      storage.VoteRec{Inst: inst, VRnd: r, Cmds: []cstruct.Cmd{cmd}},
 		storage.KeyMaxInst: a.highWater(inst),
 	})
@@ -369,13 +365,13 @@ func (a *Acceptor) announce(inst uint64, v vote) {
 
 // persistTally writes the partial coordinator tally of one instance, with
 // the high-water mark riding along for the recovery scan.
-func (a *Acceptor) persistTally(shard int, inst uint64, t *coordTally, cmd cstruct.Cmd) {
+func (a *Acceptor) persistTally(inst uint64, t *coordTally, cmd cstruct.Cmd) {
 	coords := make([]uint32, 0, len(t.vals))
 	for co := range t.vals {
 		coords = append(coords, uint32(co))
 	}
 	sort.Slice(coords, func(i, j int) bool { return coords[i] < coords[j] })
-	storage.PutAllSharded(a.disk, shard, map[string]any{
+	a.disk.PutAll(map[string]any{
 		tallyRecKey(inst):  storage.TallyRec{Inst: inst, Rnd: t.rnd, Coords: coords, Cmds: []cstruct.Cmd{cmd}},
 		storage.KeyMaxInst: a.highWater(inst),
 	})

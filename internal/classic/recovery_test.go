@@ -367,7 +367,7 @@ func TestWALRecoveryMulticoordTallyReplay(t *testing.T) {
 	}
 
 	// One member's 2a for instance 1 reaches acceptor 0 and nothing else:
-	// a partial tally, persisted through the shard stream.
+	// a partial tally, persisted with the votes.
 	wc.Accs[0].OnMessage(wc.Cfg.Coords[0], msg.P2a{
 		Inst: 1, Rnd: r, Coord: wc.Cfg.Coords[0], Val: wrap(cstruct.Cmd{ID: 801, Key: "k"}),
 	})

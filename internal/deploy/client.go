@@ -85,7 +85,6 @@ type ClientStats struct {
 // its apply result.
 type Client struct {
 	id     msg.NodeID
-	net    *runtime.Network
 	tcp    *transport.TCP
 	agent  *runtime.Agent
 	h      *clientHandler
@@ -108,23 +107,14 @@ func Dial(spec ClusterSpec, id uint32) (*Client, error) {
 	if !found {
 		return nil, fmt.Errorf("deploy: %d is not a client of the spec", id)
 	}
-	c := &Client{id: msg.NodeID(id), net: runtime.NewNetwork()}
-	c.net.Tick = spec.tick()
-	c.agent = c.net.Spawn(c.id, func(env node.Env) node.Handler {
+	c := &Client{id: msg.NodeID(id)}
+	c.agent, c.tcp, err = spec.host(c.id, func(env node.Env) node.Handler {
 		c.h = newClientHandler(env, cfg, spec)
 		return c.h
 	})
-	ln, err := spec.listen(spec.addrs()[c.id])
 	if err != nil {
-		c.net.Stop()
 		return nil, err
 	}
-	tcp := transport.NewTCPOnListener(c.id, ln, spec.addrs(), transport.Codec{Set: cstruct.SingleValueSet{}},
-		func(from msg.NodeID, m msg.Message) { c.agent.Inject(from, m) })
-	tcp.SetFaults(spec.Faults, spec.tick())
-	c.tcp = tcp
-	c.net.SetFaults(spec.Faults) // clock skew reaches the client's timers too
-	c.net.SetFallback(func(_, to msg.NodeID, m msg.Message) { _ = tcp.Send(to, m) })
 	return c, nil
 }
 
@@ -146,7 +136,7 @@ func (c *Client) Propose(cmd cstruct.Cmd) *Call {
 		close(call.done)
 		return call
 	}
-	c.agent.Inject(c.id, proposeMsg{Propose: msg.Propose{Cmd: cmd}, call: call})
+	c.agent.Deliver(c.id, proposeMsg{Propose: msg.Propose{Cmd: cmd}, call: call})
 	return call
 }
 
@@ -166,11 +156,6 @@ func (c *Client) Del(key string) *Call {
 func (c *Client) Get(key string) *Call {
 	return c.Propose(smr.GetCmd(0, key))
 }
-
-// Flush is retained for API compatibility: submissions are forwarded as they
-// arrive and batching happens server-side at the ingress stamper, so there
-// is no client-side stream to flush.
-func (c *Client) Flush() {}
 
 // Wait blocks until every given call resolves or the timeout elapses; it
 // returns the first call error, if any.
@@ -207,7 +192,7 @@ func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.agent.Do(func(node.Handler) { c.h.failAll(fmt.Errorf("deploy: client closed")) })
 	c.tcp.Close()
-	c.net.Stop()
+	c.agent.Stop()
 	return nil
 }
 

@@ -150,7 +150,6 @@ func liveE13Run(t *testing.T, commands int, crash bool) (order []uint64, roundCh
 	for i := 0; i < half; i++ {
 		calls = append(calls, cli.Set(fmt.Sprintf("k%d", i%8), fmt.Sprintf("v%d", i)))
 	}
-	cli.Flush()
 	if err := cli.Wait(calls[:half], 30*time.Second); err != nil {
 		t.Fatalf("first half: %v", err)
 	}

@@ -21,21 +21,17 @@ import (
 	"mcpaxos/internal/wal"
 )
 
-// hosted is one protocol node run by this process: its own mailbox runtime,
+// hosted is one protocol node run by this process: its own mailbox agent,
 // its own TCP endpoint, and (for acceptors) its own WAL.
 type hosted struct {
-	id    msg.NodeID
-	net   *runtime.Network
 	agent *runtime.Agent
 	tcp   *transport.TCP
 	wal   *wal.WAL
 }
 
 func (h *hosted) stop() {
-	if h.tcp != nil {
-		h.tcp.Close()
-	}
-	h.net.Stop()
+	h.tcp.Close()
+	h.agent.Stop()
 	if h.wal != nil {
 		h.wal.Close()
 	}
@@ -271,8 +267,7 @@ func (r *Replica) openNode(id msg.NodeID) error {
 	}
 	r.mu.Unlock()
 
-	h := &hosted{id: id, net: runtime.NewNetwork()}
-	h.net.Tick = r.spec.tick()
+	h := &hosted{}
 	var buildErr error
 	build := func(env node.Env) node.Handler {
 		switch role {
@@ -317,7 +312,7 @@ func (r *Replica) openNode(id msg.NodeID) error {
 		default: // learner
 			st := &learnerState{
 				rep:      smr.NewReplica(smr.NewKVStore()),
-				replay:   smr.NewReplyCache(r.spec.replyCacheSize(), clientShift),
+				replay:   smr.NewReplyCache(replyCacheSize, clientShift),
 				peerDone: make(map[msg.NodeID]uint64),
 			}
 			snapDir := ""
@@ -401,7 +396,7 @@ func (r *Replica) openNode(id msg.NodeID) error {
 				}
 			}
 			st.catchup = len(peers) > 0
-			fetch := catchup.New(env, peers, r.spec.catchupChunk(),
+			fetch := catchup.New(env, peers, catchupChunk,
 				func() uint64 { st.mu.Lock(); defer st.mu.Unlock(); return st.merger.Next() },
 				func() int { st.mu.Lock(); defer st.mu.Unlock(); return st.merger.Buffered() },
 				func(inst uint64, cmd cstruct.Cmd) {
@@ -480,35 +475,20 @@ func (r *Replica) openNode(id msg.NodeID) error {
 			return &learnerHandler{env: env, r: r, st: st, l: l, fetch: fetch}
 		}
 	}
-	h.agent = h.net.Spawn(id, build)
-	if buildErr != nil {
-		h.net.Stop()
-		return buildErr
-	}
-	// Fault injection reaches this node's timers too (clock skew), not just
-	// its message sends.
-	h.net.SetFaults(r.spec.Faults)
-	if role == "learner" {
-		// The first catch-up probe goes out once the agent is registered: on
-		// a fresh deployment the peers answer "nothing newer" and the
-		// learner syncs immediately; after a restart it pulls the prefix.
-		h.agent.Do(func(hd node.Handler) { hd.(*learnerHandler).fetch.Start() })
-	}
-	ln, err := r.spec.listen(r.spec.addrs()[id])
-	if err != nil {
-		h.net.Stop()
-		if h.wal != nil {
-			h.wal.Close()
-		}
+	var err error
+	if h.agent, h.tcp, err = r.spec.host(id, build); err != nil {
 		return err
 	}
-	tcp := transport.NewTCPOnListener(id, ln, r.spec.addrs(), transport.Codec{Set: cstruct.SingleValueSet{}},
-		func(from msg.NodeID, m msg.Message) { h.agent.Inject(from, m) })
-	tcp.SetFaults(r.spec.Faults, r.spec.tick())
-	h.tcp = tcp
-	h.net.SetFallback(func(_, to msg.NodeID, m msg.Message) {
-		_ = tcp.Send(to, m) // send failure is message loss, which the model allows
-	})
+	if buildErr != nil {
+		h.stop()
+		return buildErr
+	}
+	if role == "learner" {
+		// The first catch-up probe goes out once the node is wired: on a
+		// fresh deployment the peers answer "nothing newer" and the learner
+		// syncs immediately; after a restart it pulls the prefix.
+		h.agent.Do(func(hd node.Handler) { hd.(*learnerHandler).fetch.Start() })
+	}
 	r.mu.Lock()
 	r.nodes[id] = h
 	r.mu.Unlock()
@@ -592,10 +572,10 @@ func (h *learnerHandler) onReplayProbe(mm msg.Propose) {
 }
 
 // serve answers a peer learner's catch-up request with one chunk of the
-// retained decided prefix (bounded by the spec's chunk size and by the
-// requester's own bound).
+// retained decided prefix (bounded by catchupChunk and by the requester's
+// own bound).
 func (h *learnerHandler) serve(mm msg.CatchupReq) {
-	max := h.r.spec.catchupChunk()
+	max := uint32(catchupChunk)
 	if mm.Max > 0 && mm.Max < max {
 		max = mm.Max
 	}

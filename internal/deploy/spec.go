@@ -1,5 +1,5 @@
 // Package deploy is the live wiring layer behind the public embedding API:
-// it assembles the goroutine runtime, the TCP transport, the batched and
+// it assembles the mailbox agents, the TCP transport, the batched and
 // sharded multicoordinated protocol stack (internal/classic), durable
 // acceptor storage (internal/wal) and the SMR merge/apply loop
 // (internal/smr) from one declarative ClusterSpec — the hand-wiring that
@@ -20,9 +20,13 @@ import (
 	"time"
 
 	"mcpaxos/internal/classic"
+	"mcpaxos/internal/cstruct"
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 	"mcpaxos/internal/quorum"
+	"mcpaxos/internal/runtime"
+	"mcpaxos/internal/transport"
 )
 
 // NodeSpec names one process role: a node ID and the TCP address it listens
@@ -111,32 +115,13 @@ type ClusterSpec struct {
 	// RequestTimeout fails a client call that has drawn no reply after this
 	// long; 0 means 15s.
 	RequestTimeout time.Duration
-	// Tick is the duration of one protocol time unit on the wall clock; 0
-	// means 1ms.
-	Tick time.Duration
-
-	// ReplyCache bounds the per-client reply-replay cache each learner
-	// keeps (applied command IDs → results, evicted by per-client
-	// watermark), so a retransmitted proposal for an already-applied
-	// command re-elicits its reply instead of being silently deduplicated.
-	// 0 means 512 entries per client; negative disables replay.
-	ReplyCache int
-	// CatchupChunk bounds how many instances one learner catch-up response
-	// carries (chunked state transfer to a rejoining learner); 0 means 128.
-	CatchupChunk int
-	// FillAfter is how long a learner lets its merge frontier sit frozen
-	// with later instances buffered before nudging the stalled instance's
-	// coordinator group to fill the slot (msg.Fill) — the recovery path for
-	// a sequence number orphaned by a crashed ingress stamper, and the
-	// alignment path for a shard idling while its peers advance. 0 means
-	// 4 × RetryEvery.
-	FillAfter time.Duration
 
 	// Faults, when set, is installed on the send path of every TCP endpoint
 	// this process opens (replica nodes and clients alike): the nemesis
-	// harness's loss, duplication, reordering, partitions and link cuts.
-	// All endpoints of one process should share one injector so a partition
-	// severs every role consistently. nil means a faithful network.
+	// harness's loss, duplication, reordering, partitions and link cuts —
+	// and its clock skew on every hosted node's timers. All endpoints of
+	// one process should share one injector so a partition severs every
+	// role consistently. nil means a faithful network.
 	Faults *faults.Faults
 
 	// reserved holds the listeners ResolveEphemeral bound while picking
@@ -164,26 +149,56 @@ func (p *listenerPool) take(addr string) net.Listener {
 	return ln
 }
 
-// listen returns the node's reserved listener or binds its address fresh.
-func (s ClusterSpec) listen(addr string) (net.Listener, error) {
-	if ln := s.reserved.take(addr); ln != nil {
-		return ln, nil
+// host brings one node of the spec up in this process: it binds the node's
+// listener (the one ResolveEphemeral reserved, if any), starts the node's
+// TCP endpoint on it and its mailbox agent, and wires the two together —
+// everything the handler sends leaves over TCP, and every inbound frame
+// lands in the mailbox. Message faults are injected once, on the TCP send
+// path; the agent takes the same injector for clock skew on its timers.
+func (s ClusterSpec) host(id msg.NodeID, build func(env node.Env) node.Handler) (*runtime.Agent, *transport.TCP, error) {
+	addrs := s.addrs()
+	ln := s.reserved.take(addrs[id])
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addrs[id]); err != nil {
+			return nil, nil, fmt.Errorf("transport: listen %s: %w", addrs[id], err)
+		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	return ln, nil
+	// Frames accepted while build is still running wait for the agent
+	// instead of being lost.
+	var agent *runtime.Agent
+	ready := make(chan struct{})
+	tcp := transport.NewTCPOnListener(id, ln, addrs, transport.Codec{Set: cstruct.SingleValueSet{}},
+		func(from msg.NodeID, m msg.Message) {
+			<-ready
+			agent.Deliver(from, m)
+		})
+	tcp.SetFaults(s.Faults)
+	agent = runtime.Start(id, func(to msg.NodeID, m msg.Message) {
+		_ = tcp.Send(to, m) // send failure is message loss, which the model allows
+	}, s.Faults, build)
+	close(ready)
+	return agent, tcp, nil
 }
 
 // Spec defaults.
 const (
-	defaultBatchMax     = 8
-	defaultBatchWait    = 2 * time.Millisecond
-	defaultRetryEvery   = 25 * time.Millisecond
-	defaultTimeout      = 15 * time.Second
-	defaultReplyCache   = 512
-	defaultCatchupChunk = 128
+	defaultBatchMax   = 8
+	defaultBatchWait  = 2 * time.Millisecond
+	defaultRetryEvery = 25 * time.Millisecond
+	defaultTimeout    = 15 * time.Second
+)
+
+// Fixed learner bounds.
+const (
+	// replyCacheSize bounds the per-client reply-replay cache each learner
+	// keeps (applied command IDs → results, evicted by per-client
+	// watermark), so a retransmitted proposal for an already-applied
+	// command re-elicits its reply instead of being silently deduplicated.
+	replyCacheSize = 512
+	// catchupChunk bounds how many instances one learner catch-up response
+	// carries (chunked state transfer to a rejoining learner).
+	catchupChunk = 128
 )
 
 // noopKey marks a fill no-op command: when a learner's merged order stalls
@@ -293,23 +308,9 @@ func (s ClusterSpec) batchMax() int {
 	return s.BatchMax
 }
 
-func (s ClusterSpec) tick() time.Duration {
-	if s.Tick <= 0 {
-		return time.Millisecond
-	}
-	return s.Tick
-}
-
 // ticks converts a wall-clock duration to protocol time units, at least 1.
-func (s ClusterSpec) ticks(d time.Duration) int64 {
-	if d <= 0 {
-		return 1
-	}
-	t := int64(d / s.tick())
-	if t < 1 {
-		t = 1
-	}
-	return t
+func ticks(d time.Duration) int64 {
+	return max(int64(d/node.Tick), 1)
 }
 
 func (s ClusterSpec) retryTicks() int64 {
@@ -317,7 +318,7 @@ func (s ClusterSpec) retryTicks() int64 {
 	if d <= 0 {
 		d = defaultRetryEvery
 	}
-	return s.ticks(d)
+	return ticks(d)
 }
 
 func (s ClusterSpec) timeoutTicks() int64 {
@@ -325,26 +326,7 @@ func (s ClusterSpec) timeoutTicks() int64 {
 	if d <= 0 {
 		d = defaultTimeout
 	}
-	return s.ticks(d)
-}
-
-// replyCacheSize normalizes the per-client reply-replay bound: 0 means the
-// default, negative disables replay entirely.
-func (s ClusterSpec) replyCacheSize() int {
-	if s.ReplyCache < 0 {
-		return 0
-	}
-	if s.ReplyCache == 0 {
-		return defaultReplyCache
-	}
-	return s.ReplyCache
-}
-
-func (s ClusterSpec) catchupChunk() uint32 {
-	if s.CatchupChunk < 1 {
-		return defaultCatchupChunk
-	}
-	return uint32(s.CatchupChunk)
+	return ticks(d)
 }
 
 // retain normalizes the retention slack below the compaction watermark: 0
@@ -361,14 +343,12 @@ func (s ClusterSpec) retain() uint64 {
 }
 
 // fillTicks is the learner gap-watch period driving both catch-up resyncs
-// and fill nudges (a stall is two consecutive periods at a frozen frontier).
-func (s ClusterSpec) fillTicks() int64 {
-	d := s.FillAfter
-	if d <= 0 {
-		return 4 * s.retryTicks()
-	}
-	return s.ticks(d)
-}
+// and fill nudges: a learner whose merge frontier sits frozen for two
+// consecutive periods with later instances buffered nudges the stalled
+// instance's coordinator group to fill the slot (msg.Fill) — the recovery
+// path for a sequence number orphaned by a crashed ingress stamper, and the
+// alignment path for a shard idling while its peers advance.
+func (s ClusterSpec) fillTicks() int64 { return 4 * s.retryTicks() }
 
 func (s ClusterSpec) batchWaitTicks() int64 {
 	d := s.BatchWait
@@ -378,7 +358,7 @@ func (s ClusterSpec) batchWaitTicks() int64 {
 	if d == 0 {
 		d = defaultBatchWait
 	}
-	return s.ticks(d)
+	return ticks(d)
 }
 
 // config builds the classic.Config the protocol agents share, validating the

@@ -1,8 +1,9 @@
 // Package faults is the adversarial network model shared by every host in
 // this repository: the same injector drives the deterministic simulator
-// (internal/sim), the goroutine runtime (internal/runtime) and the TCP
-// transport (internal/transport), so a fault schedule developed against the
-// simulator reproduces byte-for-byte semantics on a live deployment.
+// (internal/sim) and the TCP transport (internal/transport), and scales the
+// live agents' timers (internal/runtime), so a fault schedule developed
+// against the simulator reproduces byte-for-byte semantics on a live
+// deployment.
 //
 // The model is the paper's asynchronous crash-recovery system (Section
 // 2.1.1) made hostile on purpose: messages may be lost, duplicated,
@@ -42,7 +43,7 @@ type Stats struct {
 // dropped, delivered once, delivered several times, and with what extra
 // delay. All decisions draw from one seeded source, so a single-threaded
 // host (the simulator) replays a schedule exactly; concurrent hosts (the
-// runtime, TCP) get the same marginal behavior under a mutex.
+// live TCP endpoints and agents) get the same marginal behavior under a mutex.
 //
 // The zero value is not usable; call New. A nil *Faults is a valid
 // "no faults" injector for every method, so hosts can keep an optional

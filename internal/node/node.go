@@ -5,7 +5,17 @@
 // deterministic and measurable under either host.
 package node
 
-import "mcpaxos/internal/msg"
+import (
+	"time"
+
+	"mcpaxos/internal/msg"
+)
+
+// Tick is the wall-clock length of one Env time unit on the real-time hosts
+// (internal/runtime agents) — also the unit the TCP transport scales
+// injected fault delays by, so a fault schedule means the same thing on
+// every host.
+const Tick = time.Millisecond
 
 // Env is the set of effects available to a protocol agent.
 type Env interface {

@@ -15,17 +15,14 @@ import (
 
 // TestRestartReplaysCoordTallyFromWAL is the runtime half of the
 // multicoordinated recovery path: a WAL-backed classic acceptor in a
-// 3-member coordinator-group deployment is crash-restarted via
-// Network.Restart in the middle of a batch — one instance fully accepted
+// 3-member coordinator-group deployment is crash-restarted as a fresh agent
+// in the middle of a batch — one instance fully accepted
 // (vote on disk), the next holding a partial coordinator tally (one of the
 // required two matching 2as arrived). The replacement's replay must rebuild
 // both: the vote and the in-flight coord-vote state, with the incarnation
 // bumped. The stalled instance then completes in a higher round, as the
 // group's Stale-driven recovery would drive it.
 func TestRestartReplaysCoordTallyFromWAL(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-
 	cfg := classic.Config{
 		Coords:         []msg.NodeID{100, 101, 102},
 		Acceptors:      []msg.NodeID{200, 201, 202},
@@ -43,7 +40,7 @@ func TestRestartReplaysCoordTallyFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc := n.Spawn(200, func(env node.Env) node.Handler {
+	acc := Start(200, drop, nil, func(env node.Env) node.Handler {
 		return classic.NewAcceptor(env, cfg, w)
 	})
 
@@ -53,10 +50,10 @@ func TestRestartReplaysCoordTallyFromWAL(t *testing.T) {
 	}
 	// Instance 0: a full coordinator quorum (members 100 and 101 of 3) —
 	// the vote hits the WAL before the 2b leaves.
-	acc.Inject(100, msg.P2a{Inst: 0, Rnd: r, Coord: 100, Val: val(10)})
-	acc.Inject(101, msg.P2a{Inst: 0, Rnd: r, Coord: 101, Val: val(10)})
+	acc.Deliver(100, msg.P2a{Inst: 0, Rnd: r, Coord: 100, Val: val(10)})
+	acc.Deliver(101, msg.P2a{Inst: 0, Rnd: r, Coord: 101, Val: val(10)})
 	// Instance 1: only member 100's 2a — a partial tally, also persisted.
-	acc.Inject(100, msg.P2a{Inst: 1, Rnd: r, Coord: 100, Val: val(11)})
+	acc.Deliver(100, msg.P2a{Inst: 1, Rnd: r, Coord: 100, Val: val(11)})
 	acc.Do(func(h node.Handler) {
 		a := h.(*classic.Acceptor)
 		if _, _, ok := a.Vote(0); !ok {
@@ -69,19 +66,21 @@ func TestRestartReplaysCoordTallyFromWAL(t *testing.T) {
 
 	// Hard restart: the old agent dies with its volatile state and fd, the
 	// replacement replays the log directory.
-	restarted := n.Restart(200, func(env node.Env) node.Handler {
-		w.Close()
-		var err error
-		if w, err = wal.Open(dir, wal.Options{}); err != nil {
-			t.Errorf("reopen wal: %v", err)
-		}
+	acc.Stop()
+	w.Close()
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatalf("reopen wal: %v", err)
+	}
+	defer func() { w.Close() }()
+	restarted := Start(200, drop, nil, func(env node.Env) node.Handler {
 		return classic.NewAcceptor(env, cfg, w)
 	})
-	defer func() { w.Close() }()
+	defer restarted.Stop()
 
 	var mcount uint32
 	restarted.Do(func(h node.Handler) {
 		a := h.(*classic.Acceptor)
+		a.OnRecover()
 		if _, v, ok := a.Vote(0); !ok || v.ID != 10 {
 			t.Errorf("vote for instance 0 lost across restart (got %v, ok=%v)", v, ok)
 		}
@@ -101,9 +100,9 @@ func TestRestartReplaysCoordTallyFromWAL(t *testing.T) {
 	// The stalled instance completes in a round above the recovered floor:
 	// the group rejoins (1a) and a coordinator quorum re-forwards it.
 	r2 := ballot.Ballot{MCount: mcount, MinCount: 1, ID: 100}
-	restarted.Inject(100, msg.P1a{Rnd: r2, Coord: 100, Shard: 0})
-	restarted.Inject(100, msg.P2a{Inst: 1, Rnd: r2, Coord: 100, Val: val(11)})
-	restarted.Inject(101, msg.P2a{Inst: 1, Rnd: r2, Coord: 101, Val: val(11)})
+	restarted.Deliver(100, msg.P1a{Rnd: r2, Coord: 100, Shard: 0})
+	restarted.Deliver(100, msg.P2a{Inst: 1, Rnd: r2, Coord: 100, Val: val(11)})
+	restarted.Deliver(101, msg.P2a{Inst: 1, Rnd: r2, Coord: 101, Val: val(11)})
 	restarted.Do(func(h node.Handler) {
 		a := h.(*classic.Acceptor)
 		if vrnd, v, ok := a.Vote(1); !ok || v.ID != 11 || !vrnd.Equal(r2) {

@@ -24,25 +24,35 @@ func (h *timerCounter) OnMessage(_ msg.NodeID, m msg.Message) {
 
 func (h *timerCounter) OnTimer(int) { h.fires.Add(1) }
 
-// TestRestartDropsStaleTimers pins the crash-boundary rule for timers: a
-// timer armed before Network.Restart must not fire into any handler — not
-// the dead incarnation, and above all not the restarted one under the same
-// ID — mirroring the simulator's epoch guard. Without the incarnation check
-// in SetTimer a pre-restart retransmission deadline could reach the fresh
-// handler as a phantom timeout and trigger a spurious round change.
-func TestRestartDropsStaleTimers(t *testing.T) {
-	n := NewNetwork()
-	n.Tick = time.Millisecond
-	defer n.Stop()
+// waitFires polls until h has seen at least one timer or the deadline
+// passes.
+func waitFires(h *timerCounter, within time.Duration) bool {
+	deadline := time.Now().Add(within)
+	for h.fires.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return h.fires.Load() > 0
+}
 
+// TestRestartDropsStaleTimers pins the crash-boundary rule for timers: a
+// timer armed before a restart must not fire into any handler — not the
+// dead incarnation, and above all not the restarted one under the same ID —
+// mirroring the simulator's epoch guard. Every incarnation is a fresh
+// Agent, so a stale timer can only reach the stopped mailbox it was armed
+// on; were it to reach the fresh handler, a pre-restart retransmission
+// deadline would arrive as a phantom timeout and could trigger a spurious
+// round change.
+func TestRestartDropsStaleTimers(t *testing.T) {
 	old := &timerCounter{}
-	n.Spawn(7, func(env node.Env) node.Handler { old.env = env; return old })
+	first := Start(7, drop, nil, func(env node.Env) node.Handler { old.env = env; return old })
 	// Arm a 30-tick timer from the mailbox goroutine, then restart at ~0.
-	n.Send(7, 7, msg.Heartbeat{From: 7, Epoch: 30})
+	first.Deliver(7, msg.Heartbeat{From: 7, Epoch: 30})
 	time.Sleep(5 * time.Millisecond)
+	first.Stop()
 
 	fresh := &timerCounter{}
-	n.Restart(7, func(env node.Env) node.Handler { fresh.env = env; return fresh })
+	second := Start(7, drop, nil, func(env node.Env) node.Handler { fresh.env = env; return fresh })
+	defer second.Stop()
 	time.Sleep(80 * time.Millisecond) // well past the stale deadline
 
 	if got := fresh.fires.Load(); got != 0 {
@@ -53,13 +63,30 @@ func TestRestartDropsStaleTimers(t *testing.T) {
 	}
 
 	// The restarted incarnation's own timers still work.
-	n.Send(7, 7, msg.Heartbeat{From: 7, Epoch: 2})
-	deadline := time.Now().Add(2 * time.Second)
-	for fresh.fires.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if fresh.fires.Load() == 0 {
+	second.Deliver(7, msg.Heartbeat{From: 7, Epoch: 2})
+	if !waitFires(fresh, 2*time.Second) {
 		t.Fatalf("restarted incarnation's timer never fired")
+	}
+}
+
+// TestTimerSkewScalesDelay checks that the fault injector's clock skew
+// reaches the agent's timers: a slow clock stretches a 2-tick timer to 40.
+func TestTimerSkewScalesDelay(t *testing.T) {
+	f := faults.New(1)
+	f.SetSkew(20)
+	h := &timerCounter{}
+	ag := Start(1, drop, f, func(env node.Env) node.Handler { h.env = env; return h })
+	defer ag.Stop()
+	ag.Deliver(1, msg.Heartbeat{From: 1, Epoch: 2})
+	time.Sleep(15 * time.Millisecond)
+	if got := h.fires.Load(); got != 0 {
+		t.Fatalf("skewed timer fired after 15ms, want ≥ 40 ticks")
+	}
+	if !waitFires(h, 2*time.Second) {
+		t.Fatal("skewed timer never fired")
+	}
+	if s := f.Stats(); s.Skewed != 1 {
+		t.Fatalf("Skewed = %d, want 1", s.Skewed)
 	}
 }
 
@@ -68,9 +95,7 @@ func TestRestartDropsStaleTimers(t *testing.T) {
 // and, on losing the coin flip, wait forever for a completion nobody would
 // deliver. Many iterations make the old 50% hang a near-certain failure.
 func TestDoOnStoppedAgentReturns(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-	ag := n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
+	ag := Start(1, drop, nil, func(node.Env) node.Handler { return &collector{} })
 	ag.Stop()
 
 	done := make(chan struct{})
@@ -84,79 +109,5 @@ func TestDoOnStoppedAgentReturns(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Do hung on a stopped agent")
-	}
-}
-
-func TestNetworkFaultsDropDupAndPartition(t *testing.T) {
-	n := NewNetwork()
-	n.Tick = time.Millisecond
-	defer n.Stop()
-	recv := &collector{}
-	n.Spawn(2, func(node.Env) node.Handler { return recv })
-	n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
-
-	f := faults.New(3)
-	n.SetFaults(f)
-
-	wait := func(want int) bool {
-		deadline := time.Now().Add(2 * time.Second)
-		for recv.count() < want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		return recv.count() >= want
-	}
-
-	// Partitioned: nothing arrives.
-	f.Partition([]msg.NodeID{1}, []msg.NodeID{2})
-	n.Send(1, 2, msg.Heartbeat{From: 1})
-	time.Sleep(20 * time.Millisecond)
-	if recv.count() != 0 {
-		t.Fatalf("partitioned network delivered %d messages", recv.count())
-	}
-
-	// Healed with dup=1: two copies (the duplicate arrives via the delayed
-	// path, exercising the AfterFunc re-lookup).
-	f.Heal()
-	f.SetDup(1)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
-	if !wait(2) {
-		t.Fatalf("dup=1 delivered %d copies, want 2", recv.count())
-	}
-
-	// Loss=1 after healing: dropped again.
-	f.Clear()
-	f.SetLoss(1)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
-	time.Sleep(20 * time.Millisecond)
-	if recv.count() != 2 {
-		t.Fatalf("loss=1 delivered a message")
-	}
-}
-
-// TestDelayedDeliveryCrossesRestart pins the asymmetry between messages and
-// timers at a crash boundary: a delayed message copy lands in whatever
-// incarnation is live on arrival (the network may hold messages arbitrarily
-// long), while timers die with their incarnation.
-func TestDelayedDeliveryCrossesRestart(t *testing.T) {
-	n := NewNetwork()
-	n.Tick = time.Millisecond
-	defer n.Stop()
-	first := &collector{}
-	n.Spawn(2, func(node.Env) node.Handler { return first })
-	n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
-
-	f := faults.New(1)
-	f.SetReorder(1, 40) // every delivery delayed 1..40 ticks
-	n.SetFaults(f)
-	n.Send(1, 2, msg.Heartbeat{From: 1})
-
-	second := &collector{}
-	n.Restart(2, func(node.Env) node.Handler { return second })
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && first.count()+second.count() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if first.count()+second.count() == 0 {
-		t.Fatalf("delayed message was lost across the restart window")
 	}
 }

@@ -1,8 +1,10 @@
-// Package runtime hosts the protocol state machines on goroutines with real
+// Package runtime hosts one protocol state machine on a goroutine with real
 // time, complementing the deterministic simulator: the same agents (they
-// only know node.Env) run over an in-process channel network or the TCP
-// transport. Each agent's handler runs on a single mailbox goroutine, so
-// agent code needs no internal locking.
+// only know node.Env) run here unchanged. An Agent runs its handler on a
+// single mailbox goroutine, so agent code needs no internal locking;
+// everything the handler sends leaves through the send function the agent
+// was started with (in a deployment, the node's own TCP endpoint), and
+// inbound messages reach it through Deliver.
 package runtime
 
 import (
@@ -33,154 +35,12 @@ type inbound struct {
 	tag  int
 }
 
-// Network is an in-process message bus connecting Agents. The zero value is
-// not usable; call NewNetwork.
-type Network struct {
-	mu     sync.RWMutex
-	agents map[msg.NodeID]*Agent
-	start  time.Time
-	// Tick is the duration of one node.Env time unit (default 1ms).
-	Tick time.Duration
-	// Fallback, when set, receives messages addressed to nodes this
-	// network does not host (e.g. to forward them over TCP).
-	Fallback func(from, to msg.NodeID, m msg.Message)
-	// faults, when set, adjudicates every locally routed message: drop,
-	// duplicate, or delay (in Ticks). Messages leaving through Fallback are
-	// not faulted here — the remote transport carries its own injector, so
-	// a deployment faults each link exactly once.
-	faults atomic.Pointer[faults.Faults]
-}
-
-// NewNetwork builds an empty in-process network.
-func NewNetwork() *Network {
-	return &Network{
-		agents: make(map[msg.NodeID]*Agent),
-		start:  time.Now(),
-		Tick:   time.Millisecond,
-	}
-}
-
-// SetFallback installs the off-network route under the network's lock, so it
-// may be set while agents are already receiving traffic (Send reads it under
-// the same lock). Messages routed before the fallback is installed are
-// dropped, which the asynchronous model allows.
-func (n *Network) SetFallback(fb func(from, to msg.NodeID, m msg.Message)) {
-	n.mu.Lock()
-	n.Fallback = fb
-	n.mu.Unlock()
-}
-
-// Spawn creates an agent: build receives the agent's Env and returns its
-// handler. The mailbox goroutine starts immediately.
-func (n *Network) Spawn(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
-	a := &Agent{
-		id:    id,
-		net:   n,
-		inbox: make(chan inbound, 1024),
-		done:  make(chan struct{}),
-	}
-	a.handler = build(a.env())
-	n.mu.Lock()
-	n.agents[id] = a
-	n.mu.Unlock()
-	a.wg.Add(1)
-	go a.loop()
-	return a
-}
-
-// Restart models a process crash-and-restart of node id: the old agent is
-// stopped and its handler (the process's volatile state) discarded, build
-// constructs a fresh handler — for an acceptor, typically over a reopened
-// WAL whose replay rebuilds the durable state — and, if the new handler is
-// node.Recoverable, OnRecover runs before any message is delivered (the
-// acceptor's one incarnation write per recovery, Section 4.4). Messages
-// sent to id while it is down are dropped, as the asynchronous model
-// allows.
-func (n *Network) Restart(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
-	n.mu.Lock()
-	old := n.agents[id]
-	delete(n.agents, id)
-	n.mu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
-	a := &Agent{
-		id:    id,
-		net:   n,
-		inbox: make(chan inbound, 1024),
-		done:  make(chan struct{}),
-	}
-	a.handler = build(a.env())
-	if r, ok := a.handler.(node.Recoverable); ok {
-		r.OnRecover()
-	}
-	n.mu.Lock()
-	n.agents[id] = a
-	n.mu.Unlock()
-	a.wg.Add(1)
-	go a.loop()
-	return a
-}
-
-// SetFaults installs (or, with nil, removes) an adversarial fault injector
-// on the local send path: the same knobs the simulator and the TCP
-// transport take, so a nemesis schedule runs identically on every host.
-func (n *Network) SetFaults(f *faults.Faults) { n.faults.Store(f) }
-
-// Send routes a message to a local agent, or through Fallback for remote
-// destinations; unknown destinations without a Fallback are dropped (the
-// asynchronous model allows loss).
-func (n *Network) Send(from, to msg.NodeID, m msg.Message) {
-	n.mu.RLock()
-	dst, ok := n.agents[to]
-	fb := n.Fallback
-	n.mu.RUnlock()
-	if !ok {
-		if fb != nil {
-			fb(from, to, m)
-		}
-		return
-	}
-	for _, extra := range n.faults.Load().Deliveries(from, to) {
-		in := inbound{kind: kindMsg, from: from, m: m}
-		if extra == 0 {
-			dst.enqueue(in)
-			continue
-		}
-		// A delayed copy targets whatever incarnation of the node is live
-		// when it lands — deliveries across a restart are legal (the
-		// network may hold messages arbitrarily long), unlike timers.
-		time.AfterFunc(time.Duration(extra)*n.Tick, func() {
-			n.mu.RLock()
-			late, ok := n.agents[to]
-			n.mu.RUnlock()
-			if ok {
-				late.enqueue(in)
-			}
-		})
-	}
-}
-
-// Stop shuts every agent down and waits for their goroutines.
-func (n *Network) Stop() {
-	n.mu.Lock()
-	agents := make([]*Agent, 0, len(n.agents))
-	for _, a := range n.agents {
-		agents = append(agents, a)
-	}
-	n.agents = make(map[msg.NodeID]*Agent)
-	n.mu.Unlock()
-	for _, a := range agents {
-		a.Stop()
-	}
-}
-
-func (n *Network) now() int64 { return int64(time.Since(n.start) / n.Tick) }
-
-// Agent is one hosted protocol state machine.
+// Agent is one hosted protocol state machine: one handler, one mailbox.
 type Agent struct {
 	id      msg.NodeID
-	net     *Network
+	send    func(to msg.NodeID, m msg.Message)
+	faults  *faults.Faults
+	start   time.Time
 	handler node.Handler
 	inbox   chan inbound
 	done    chan struct{}
@@ -190,6 +50,31 @@ type Agent struct {
 	// re-entrant calls from handler code and run them inline instead of
 	// deadlocking on its own mailbox.
 	loopGID atomic.Uint64
+}
+
+// Start creates an agent and starts its mailbox goroutine: build receives
+// the agent's Env and returns its handler. The Env's Send calls send; its
+// clock counts node.Tick units from Start; its timers are scaled by f's
+// clock skew (nil f means no skew). Message faults are the send path's
+// business, not the agent's.
+//
+// Each incarnation of a node is a fresh Agent: a process restart stops the
+// old agent and starts a new one, so timers armed by the old incarnation
+// fire into its stopped mailbox and are dropped — they never reach the
+// restarted handler.
+func Start(id msg.NodeID, send func(to msg.NodeID, m msg.Message), f *faults.Faults, build func(env node.Env) node.Handler) *Agent {
+	a := &Agent{
+		id:     id,
+		send:   send,
+		faults: f,
+		start:  time.Now(),
+		inbox:  make(chan inbound, 1024),
+		done:   make(chan struct{}),
+	}
+	a.handler = build(agentEnv{a})
+	a.wg.Add(1)
+	go a.loop()
+	return a
 }
 
 // gid returns the calling goroutine's ID, parsed from the runtime stack
@@ -209,14 +94,9 @@ func gid() uint64 {
 	return id
 }
 
-// ID returns the agent's node ID.
-func (a *Agent) ID() msg.NodeID { return a.id }
-
-// Handler returns the hosted handler (for inspection after Stop).
-func (a *Agent) Handler() node.Handler { return a.handler }
-
-// Inject delivers a message to this agent as if sent by from.
-func (a *Agent) Inject(from msg.NodeID, m msg.Message) {
+// Deliver hands the agent a message as if sent by from. On a stopped agent
+// it is a no-op: the message is lost, as the asynchronous model allows.
+func (a *Agent) Deliver(from msg.NodeID, m msg.Message) {
 	a.enqueue(inbound{kind: kindMsg, from: from, m: m})
 }
 
@@ -307,38 +187,20 @@ func (a *Agent) Stop() {
 	a.wg.Wait()
 }
 
-func (a *Agent) env() node.Env { return agentEnv{a} }
-
 type agentEnv struct{ a *Agent }
 
 func (e agentEnv) ID() msg.NodeID { return e.a.id }
-func (e agentEnv) Now() int64     { return e.a.net.now() }
+func (e agentEnv) Now() int64     { return int64(time.Since(e.a.start) / node.Tick) }
 
-func (e agentEnv) Send(to msg.NodeID, m msg.Message) {
-	e.a.net.Send(e.a.id, to, m)
-}
+func (e agentEnv) Send(to msg.NodeID, m msg.Message) { e.a.send(to, m) }
 
 func (e agentEnv) SetTimer(d int64, tag int) {
-	a := e.a
 	// Clock skew (fault injection) scales the delay before the floor clamp.
-	d = a.net.faults.Load().TimerDelay(d)
+	d = e.a.faults.TimerDelay(d)
 	if d < 1 {
 		d = 1
 	}
-	time.AfterFunc(time.Duration(d)*a.net.Tick, func() {
-		// Timers do not survive a crash boundary: a timer armed by one
-		// incarnation must never fire into a handler built by
-		// Network.Restart under the same ID (the simulator enforces this
-		// with delivery epochs; here the agent pointer is the epoch). A
-		// stale fire would reach a recovered coordinator as a phantom
-		// retransmission deadline and could trigger a spurious round
-		// change.
-		a.net.mu.RLock()
-		live := a.net.agents[a.id] == a
-		a.net.mu.RUnlock()
-		if !live {
-			return
-		}
-		a.enqueue(inbound{kind: kindTimer, tag: tag})
+	time.AfterFunc(time.Duration(d)*node.Tick, func() {
+		e.a.enqueue(inbound{kind: kindTimer, tag: tag})
 	})
 }

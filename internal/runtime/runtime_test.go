@@ -35,14 +35,67 @@ func (c *collector) count() int {
 	return len(c.got)
 }
 
+// drop is a send function for agents whose outbound traffic a test ignores.
+func drop(msg.NodeID, msg.Message) {}
+
+// bus routes sends between the agents one test starts, standing in for the
+// TCP endpoints a deployment wires each agent to. Sends to an unknown or
+// stopped node are lost.
+type bus struct {
+	mu     sync.Mutex
+	agents map[msg.NodeID]*Agent
+}
+
+func newBus(t *testing.T) *bus {
+	b := &bus{agents: make(map[msg.NodeID]*Agent)}
+	t.Cleanup(func() {
+		// Stop outside the lock: a mailbox blocked on the bus in a send
+		// must be able to finish its handler before Stop returns.
+		b.mu.Lock()
+		agents := make([]*Agent, 0, len(b.agents))
+		for _, a := range b.agents {
+			agents = append(agents, a)
+		}
+		b.mu.Unlock()
+		for _, a := range agents {
+			a.Stop()
+		}
+	})
+	return b
+}
+
+// start runs a fresh incarnation of node id on the bus, stopping the
+// previous one if any.
+func (b *bus) start(id msg.NodeID, build func(env node.Env) node.Handler) *Agent {
+	b.mu.Lock()
+	old := b.agents[id]
+	b.mu.Unlock()
+	if old != nil {
+		old.Stop()
+	}
+	a := Start(id, func(to msg.NodeID, m msg.Message) {
+		b.mu.Lock()
+		dst := b.agents[to]
+		b.mu.Unlock()
+		if dst != nil {
+			dst.Deliver(id, m)
+		}
+	}, nil, build)
+	b.mu.Lock()
+	b.agents[id] = a
+	b.mu.Unlock()
+	return a
+}
+
+// TestNetworkDelivers checks the send hook: whatever a handler passes to
+// Env.Send reaches the agent's send function, here routed to a peer.
 func TestNetworkDelivers(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
+	b := newBus(t)
 	recv := &collector{}
-	n.Spawn(2, func(node.Env) node.Handler { return recv })
-	sender := n.Spawn(1, func(node.Env) node.Handler { return &collector{} })
-	_ = sender
-	n.Send(1, 2, msg.Heartbeat{From: 1})
+	b.start(2, func(node.Env) node.Handler { return recv })
+	var env node.Env
+	sender := b.start(1, func(e node.Env) node.Handler { env = e; return &collector{} })
+	sender.Do(func(node.Handler) { env.Send(2, msg.Heartbeat{From: 1}) })
 	deadline := time.Now().Add(2 * time.Second)
 	for recv.count() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -53,10 +106,9 @@ func TestNetworkDelivers(t *testing.T) {
 }
 
 func TestAgentDoSerializes(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	c := &collector{}
-	ag := n.Spawn(1, func(node.Env) node.Handler { return c })
+	ag := Start(1, drop, nil, func(node.Env) node.Handler { return c })
+	defer ag.Stop()
 	ran := false
 	ag.Do(func(h node.Handler) { ran = h == c })
 	if !ran {
@@ -84,11 +136,10 @@ func (s *selfCaller) OnMessage(_ msg.NodeID, m msg.Message) {
 // deadlock: a handler invoking Do on its own agent (directly or nested) must
 // run the closure inline instead of waiting on its own mailbox forever.
 func TestAgentDoFromOwnGoroutine(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	sc := &selfCaller{ran: make(chan struct{})}
-	sc.agent = n.Spawn(1, func(node.Env) node.Handler { return sc })
-	sc.agent.Inject(2, msg.Heartbeat{From: 2})
+	sc.agent = Start(1, drop, nil, func(node.Env) node.Handler { return sc })
+	defer sc.agent.Stop()
+	sc.agent.Deliver(2, msg.Heartbeat{From: 2})
 	select {
 	case <-sc.ran:
 	case <-time.After(3 * time.Second):
@@ -105,11 +156,10 @@ func TestAgentDoFromOwnGoroutine(t *testing.T) {
 	}
 }
 
-// TestLiveMulticoordinatedDeployment runs the full core protocol over the
-// goroutine network: three coordinators, three acceptors, one learner.
+// TestLiveMulticoordinatedDeployment runs the full core protocol on
+// goroutine agents: three coordinators, three acceptors, one learner.
 func TestLiveMulticoordinatedDeployment(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
+	n := newBus(t)
 
 	cfg := core.Config{
 		Coords:    []msg.NodeID{100, 101, 102},
@@ -126,19 +176,19 @@ func TestLiveMulticoordinatedDeployment(t *testing.T) {
 
 	var coords []*Agent
 	for _, id := range cfg.Coords {
-		coords = append(coords, n.Spawn(id, func(env node.Env) node.Handler {
+		coords = append(coords, n.start(id, func(env node.Env) node.Handler {
 			return core.NewCoordinator(env, cfg)
 		}))
 	}
 	for _, id := range cfg.Acceptors {
 		disk := &storage.Disk{}
-		n.Spawn(id, func(env node.Env) node.Handler {
+		n.start(id, func(env node.Env) node.Handler {
 			return core.NewAcceptor(env, cfg, disk)
 		})
 	}
 	var mu sync.Mutex
 	learned := make(map[uint64]bool)
-	n.Spawn(300, func(env node.Env) node.Handler {
+	n.start(300, func(env node.Env) node.Handler {
 		return core.NewLearner(env, cfg, func(_ cstruct.CStruct, fresh []cstruct.Cmd) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -148,7 +198,7 @@ func TestLiveMulticoordinatedDeployment(t *testing.T) {
 		})
 	})
 	var prop *core.Proposer
-	propAgent := n.Spawn(1, func(env node.Env) node.Handler {
+	propAgent := n.start(1, func(env node.Env) node.Handler {
 		prop = core.NewProposer(env, cfg, 1)
 		return prop
 	})
@@ -182,13 +232,12 @@ func TestLiveMulticoordinatedDeployment(t *testing.T) {
 }
 
 // TestRestartRecoversAcceptorFromWAL is the runtime half of the recovery
-// path: a WAL-backed acceptor on the goroutine host is crash-restarted via
-// Network.Restart, its replacement replays the log, and the accepted value
-// it voted for before the crash must still be there (with the incarnation
+// path: a WAL-backed acceptor on a goroutine agent is crash-restarted as a
+// fresh agent, its replacement replays the log, and the accepted value it
+// voted for before the crash must still be there (with the incarnation
 // counter bumped so its round outruns every pre-crash promise).
 func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
+	n := newBus(t)
 
 	cfg := core.Config{
 		Coords:    []msg.NodeID{100},
@@ -213,7 +262,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 		return w
 	}
 
-	coord := n.Spawn(100, func(env node.Env) node.Handler {
+	coord := n.start(100, func(env node.Env) node.Handler {
 		return core.NewCoordinator(env, cfg)
 	})
 	accAgents := make(map[msg.NodeID]*Agent)
@@ -221,13 +270,13 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 		id := id
 		w := openWAL(id)
 		wals[id] = w
-		accAgents[id] = n.Spawn(id, func(env node.Env) node.Handler {
+		accAgents[id] = n.start(id, func(env node.Env) node.Handler {
 			return core.NewAcceptor(env, cfg, w)
 		})
 	}
 	var mu sync.Mutex
 	learned := make(map[uint64]bool)
-	n.Spawn(300, func(env node.Env) node.Handler {
+	n.start(300, func(env node.Env) node.Handler {
 		return core.NewLearner(env, cfg, func(_ cstruct.CStruct, fresh []cstruct.Cmd) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -237,7 +286,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 		})
 	})
 	var prop *core.Proposer
-	propAgent := n.Spawn(1, func(env node.Env) node.Handler {
+	propAgent := n.start(1, func(env node.Env) node.Handler {
 		prop = core.NewProposer(env, cfg, 1)
 		return prop
 	})
@@ -296,7 +345,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 
 	// Hard-restart acceptor 200: the old agent dies with its volatile
 	// state, the replacement replays the WAL from disk.
-	restarted := n.Restart(200, func(env node.Env) node.Handler {
+	restarted := n.start(200, func(env node.Env) node.Handler {
 		wals[200].Close() // the old process's fd dies with it
 		w := openWAL(200)
 		wals[200] = w
@@ -304,6 +353,7 @@ func TestRestartRecoversAcceptorFromWAL(t *testing.T) {
 	})
 	restarted.Do(func(h node.Handler) {
 		a := h.(*core.Acceptor)
+		a.OnRecover()
 		vval := a.VVal()
 		for i := 0; i < total; i++ {
 			if !vval.Contains(cstruct.Cmd{ID: uint64(1 + i)}) {

@@ -37,30 +37,6 @@ type Stable interface {
 	Len() int
 }
 
-// ShardedStable is an optional extension of Stable for sharded deployments
-// (N leaders over instance residue classes): PutAllShard is PutAll routed
-// through the backend's per-shard commit stream, so each shard's accepts form
-// an attributable stream — with per-stream accounting — while still feeding
-// the one shared, replayable log. Recovery is unchanged: replaying the single
-// log rebuilds every shard's votes. Backends without shard streams are used
-// through the PutAllSharded helper, which falls back to plain PutAll.
-type ShardedStable interface {
-	Stable
-	// PutAllShard durably stores records through shard's commit stream:
-	// one logical synchronous write on the shared log.
-	PutAllShard(shard int, records map[string]any)
-}
-
-// PutAllSharded writes one commit batch through st's shard stream when the
-// backend has one, and through plain PutAll otherwise.
-func PutAllSharded(st Stable, shard int, records map[string]any) {
-	if ss, ok := st.(ShardedStable); ok {
-		ss.PutAllShard(shard, records)
-		return
-	}
-	st.PutAll(records)
-}
-
 // Compacter is an optional extension of Stable for log compaction: once the
 // cluster-wide watermark passes an instance range, the acceptor drops the
 // range's vote records durably and asks the backend to reclaim the physical

@@ -1,8 +1,8 @@
-// Package transport provides live message transports for the protocol
-// agents: an in-process channel hub and a TCP transport (hand-rolled binary
-// wire codec over net) for multi-process deployments. Both present the same
-// Transport interface; the discrete-event simulator remains the reference
-// host for experiments.
+// Package transport is the live network of the protocol agents: one TCP
+// endpoint per node (TCP), carrying length-prefixed frames in a hand-rolled
+// binary wire codec (Codec), with an optional fault injector on the send
+// path. Every inter-node message of a live deployment crosses it; the
+// discrete-event simulator remains the reference host for experiments.
 //
 // # Wire format
 //

@@ -13,6 +13,7 @@ import (
 
 	"mcpaxos/internal/faults"
 	"mcpaxos/internal/msg"
+	"mcpaxos/internal/node"
 )
 
 // RecvFn consumes inbound messages.
@@ -98,11 +99,10 @@ type TCP struct {
 	encNanos, decNanos  atomic.Uint64
 
 	// injector, when set, adjudicates every outbound message before it
-	// reaches a peer queue: drop, duplicate, or delay by faultTick units —
-	// the same adversarial model the simulator and the goroutine runtime
-	// take, so a nemesis schedule runs identically over real sockets.
-	injector  atomic.Pointer[faults.Faults]
-	faultTick atomic.Int64 // nanoseconds per fault-delay tick
+	// reaches a peer queue: drop, duplicate, or delay by node.Tick units —
+	// the same adversarial model the simulator takes, so a nemesis schedule
+	// runs identically over real sockets.
+	injector atomic.Pointer[faults.Faults]
 }
 
 // peer is one outbound connection with its writer goroutine.
@@ -228,17 +228,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 }
 
 // SetFaults installs (or, with nil, removes) an adversarial fault injector
-// on the send path. Fault delays are scaled by tick (one abstract delay
-// unit on the wall clock); tick ≤ 0 defaults to 1ms. Dropped messages
+// on the send path. Fault delays count node.Tick units. Dropped messages
 // report success — loss is indistinguishable from a queued-then-lost frame,
 // which the asynchronous model already allows.
-func (t *TCP) SetFaults(f *faults.Faults, tick time.Duration) {
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t.faultTick.Store(int64(tick))
-	t.injector.Store(f)
-}
+func (t *TCP) SetFaults(f *faults.Faults) { t.injector.Store(f) }
 
 // Send transmits m to node `to`, dialing on first use. The write itself is
 // asynchronous — a nil return means the message was queued, not delivered —
@@ -264,7 +257,7 @@ func (t *TCP) Send(to msg.NodeID, m msg.Message) error {
 			err = t.deliver(to, m)
 			continue
 		}
-		time.AfterFunc(time.Duration(extra)*time.Duration(t.faultTick.Load()), func() {
+		time.AfterFunc(time.Duration(extra)*node.Tick, func() {
 			select {
 			case <-t.closed:
 			default:

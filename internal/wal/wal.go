@@ -118,9 +118,6 @@ type WAL struct {
 	writes atomic.Uint64 // logical synchronous writes (commit batches)
 	fsyncs atomic.Uint64 // physical data-file fsyncs
 	swept  int           // orphaned .tmp files removed by Open
-
-	// streams holds the per-shard commit streams (stream.go).
-	streams streams
 }
 
 // Open opens (creating if needed) the log in dir, replays it into the key

@@ -106,6 +106,24 @@ func TestWritesAndFsyncAccounting(t *testing.T) {
 	}
 }
 
+// PutAll is the acceptor's commit path: one logical write per batch, however
+// many records the batch carries, each readable through the shared index.
+func TestPutAllOneWritePerBatch(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), wal.Options{})
+	defer w.Close()
+	w.PutAll(map[string]any{"vote/2": uint64(9), "maxinst": uint64(2)})
+	w.PutAll(map[string]any{"vote/6": uint64(9), "maxinst": uint64(6)})
+	if got := w.Writes(); got != 2 {
+		t.Fatalf("Writes = %d, want 2 (one logical write per PutAll)", got)
+	}
+	if v, ok := w.Get("vote/6"); !ok || v.(uint64) != 9 {
+		t.Fatalf("record not readable through the shared index: %v (ok=%v)", v, ok)
+	}
+	if v, ok := w.Get("maxinst"); !ok || v.(uint64) != 6 {
+		t.Fatalf("maxinst = %v (ok=%v), want the later batch's 6", v, ok)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
